@@ -3,7 +3,8 @@
 //!
 //! * rounding — Algorithm 3 vs the per-sensor exact-cadence strawman vs
 //!   charging everyone every `τ_min`;
-//! * tour polish — plain tree-doubling routing vs + 2-opt/Or-opt;
+//! * tour polish — plain tree-doubling routing vs + the fixed-budget
+//!   `perpetuum-opt` refine post-pass;
 //! * repair — nearest-scheduling `V^a` insertion vs charge-all-now, run
 //!   through the full simulator.
 
@@ -11,7 +12,9 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use perpetuum_core::mtd::{plan_min_total_distance, MtdConfig};
 use perpetuum_core::naive::{plan_charge_all, plan_per_sensor_cadence};
 use perpetuum_core::network::Instance;
+use perpetuum_core::refine::{refine, Budget};
 use perpetuum_core::var::RepairStrategy;
+use perpetuum_exp::ablation::REFINE_STEPS;
 use perpetuum_exp::scenario::Scenario;
 use perpetuum_sim::{run, SimConfig, VarPolicy};
 use std::hint::black_box;
@@ -45,12 +48,10 @@ fn bench_polish(c: &mut Criterion) {
     group.bench_function("algorithm_2_plain", |b| {
         b.iter(|| black_box(plan_min_total_distance(&inst, &MtdConfig::default())))
     });
-    group.bench_function("algorithm_2_polished", |b| {
+    group.bench_function("algorithm_2_refined", |b| {
         b.iter(|| {
-            black_box(plan_min_total_distance(
-                &inst,
-                &MtdConfig { polish_rounds: 10, ..MtdConfig::default() },
-            ))
+            let plan = plan_min_total_distance(&inst, &MtdConfig::default());
+            black_box(refine(inst.network(), &plan, &Budget::steps(REFINE_STEPS), 22))
         })
     });
     group.finish();

@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use perpetuum_core::mtd::{plan_min_total_distance, MtdConfig};
 use perpetuum_core::network::{Instance, Network};
 use perpetuum_core::qmsf::q_rooted_msf;
-use perpetuum_core::qtsp::q_rooted_tsp;
+use perpetuum_core::qtsp::{q_rooted_tsp, Routing};
 use perpetuum_core::rounding::partition_cycles;
 use perpetuum_core::var::{replan_variable, VarInput};
 use perpetuum_geom::{deploy, derived_rng, Field};
@@ -40,14 +40,12 @@ fn bench_qmsf_qtsp(c: &mut Criterion) {
         let network = build_network(n, 5, n as u64);
         let terminals: Vec<usize> = (0..n).collect();
         let roots = network.depot_nodes();
+        let src = network.dist_source();
         group.bench_with_input(BenchmarkId::new("q_rooted_msf", n), &n, |b, _| {
             b.iter(|| black_box(q_rooted_msf(network.dist(), &terminals, &roots)))
         });
         group.bench_with_input(BenchmarkId::new("q_rooted_tsp", n), &n, |b, _| {
-            b.iter(|| black_box(q_rooted_tsp(network.dist(), &terminals, &roots, 0)))
-        });
-        group.bench_with_input(BenchmarkId::new("q_rooted_tsp_polished", n), &n, |b, _| {
-            b.iter(|| black_box(q_rooted_tsp(network.dist(), &terminals, &roots, 5)))
+            b.iter(|| black_box(q_rooted_tsp(&src, &terminals, &roots, Routing::Doubling)))
         });
     }
     // q scaling at fixed n.
@@ -55,8 +53,9 @@ fn bench_qmsf_qtsp(c: &mut Criterion) {
         let network = build_network(200, q, 1000 + q as u64);
         let terminals: Vec<usize> = (0..200).collect();
         let roots = network.depot_nodes();
+        let src = network.dist_source();
         group.bench_with_input(BenchmarkId::new("q_rooted_tsp_q", q), &q, |b, _| {
-            b.iter(|| black_box(q_rooted_tsp(network.dist(), &terminals, &roots, 0)))
+            b.iter(|| black_box(q_rooted_tsp(&src, &terminals, &roots, Routing::Doubling)))
         });
     }
     group.finish();
@@ -92,7 +91,6 @@ fn bench_replan(c: &mut Criterion) {
                     residuals: &residuals,
                     now: 500.0,
                     horizon: 1000.0,
-                    polish_rounds: 0,
                 };
                 black_box(replan_variable(&input))
             })

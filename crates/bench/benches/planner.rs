@@ -11,7 +11,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use perpetuum_core::network::Network;
-use perpetuum_core::qtsp::q_rooted_tsp_src;
+use perpetuum_core::qtsp::{q_rooted_tsp, Routing};
 use perpetuum_geom::Point2;
 use perpetuum_geom::{deploy, derived_rng, Field};
 use std::hint::black_box;
@@ -35,7 +35,7 @@ fn deployment(n: usize, seed: u64) -> (Vec<Point2>, Vec<Point2>) {
 fn plan(network: &Network) -> f64 {
     let terminals: Vec<usize> = (0..network.n()).collect();
     let roots = network.depot_nodes();
-    q_rooted_tsp_src(&network.dist_source(), &terminals, &roots, 0).cost
+    q_rooted_tsp(&network.dist_source(), &terminals, &roots, Routing::Doubling).cost
 }
 
 fn bench_planner(c: &mut Criterion) {

@@ -29,7 +29,7 @@
 //!   guards every root: the shorter tour wins, so a warm tour never costs
 //!   more than the paper's 2-approximation on the current forest. Repairs
 //!   run per-root in parallel and are bit-identical for any worker count
-//!   (same argument as [`crate::qtsp::q_rooted_tsp_routed_src`]).
+//!   (same argument as [`crate::qtsp::tours_for_forest_src`]).
 //! * **Anchor-grid emission** — dispatch times stay on the seed grid
 //!   `anchor + j·τ̂₁` serving `D_{min(ν₂(j),K)}`, so future dispatches of
 //!   an untouched class reuse its cached tours verbatim. A replan at `now`
@@ -45,7 +45,7 @@
 use crate::mtd::nu2;
 use crate::network::Network;
 use crate::qmsf::{uncontract, ForestEdge, RootedForest, SPARSE_MSF_K};
-use crate::qtsp::{default_tour_workers, q_rooted_tsp_src, tour_from_tree_doubling, QTours};
+use crate::qtsp::{default_tour_workers, q_rooted_tsp, tour_from_tree_doubling, QTours, Routing};
 use crate::rounding::power_class;
 use crate::schedule::{ScheduleSeries, TourSet};
 use crate::var::{replan_variable_detailed, RepairStrategy, VarDetailed, VarInput, VarPlan};
@@ -670,11 +670,11 @@ impl IncrementalPlanner {
             .collect();
         if !urgent.is_empty() {
             let nodes: Vec<usize> = urgent.iter().map(|&i| network.sensor_node(i)).collect();
-            let qt = q_rooted_tsp_src(
+            let qt = q_rooted_tsp(
                 &network.dist_source(),
                 &nodes,
                 &network.depot_nodes(),
-                input.polish_rounds,
+                Routing::Doubling,
             );
             let id = series.add_set(TourSet::from_qtours(qt, |v| v >= n));
             series.push_dispatch(input.now, id);
@@ -822,7 +822,6 @@ mod tests {
             residuals: &residuals,
             now: 0.0,
             horizon: 200.0,
-            polish_rounds: 0,
         };
         IncrementalPlanner::seed_with(&input, RepairStrategy::NearestScheduling, cfg)
     }
@@ -870,7 +869,6 @@ mod tests {
                 residuals: &residuals,
                 now: 5.0,
                 horizon: 150.0,
-                polish_rounds: 0,
             };
             let scratch = crate::var::replan_variable(&input);
             let (seeded, _) = IncrementalPlanner::seed(&input, RepairStrategy::NearestScheduling);
@@ -1026,7 +1024,6 @@ mod tests {
                     residuals: &residuals,
                     now,
                     horizon: 200.0,
-                    polish_rounds: 0,
                 };
                 match planner.replan(&input) {
                     ReplanOutcome::Incremental(plan) => {
@@ -1062,7 +1059,6 @@ mod tests {
             residuals: &residuals,
             now: 6.0,
             horizon: 120.0,
-            polish_rounds: 0,
         };
         match planner.replan(&input) {
             ReplanOutcome::Incremental(plan) => {
@@ -1082,14 +1078,7 @@ mod tests {
         let cycles = spread_cycles(n, &mut rng);
         let residuals = cycles.clone();
         fn at<'a>(network: &'a Network, cycles: &'a [f64], residuals: &'a [f64]) -> VarInput<'a> {
-            VarInput {
-                network,
-                max_cycles: cycles,
-                residuals,
-                now: 2.0,
-                horizon: 150.0,
-                polish_rounds: 0,
-            }
+            VarInput { network, max_cycles: cycles, residuals, now: 2.0, horizon: 150.0 }
         }
 
         // τ̂₁ undercut.

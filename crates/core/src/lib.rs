@@ -71,10 +71,7 @@ pub use network::{Instance, Network};
 pub use qmsf::{
     q_rooted_msf, q_rooted_msf_sparse, q_rooted_msf_src, rooted_msf_general, RootedForest,
 };
-pub use qtsp::{
-    q_rooted_tsp, q_rooted_tsp_routed, q_rooted_tsp_routed_src, q_rooted_tsp_src,
-    q_rooted_tsp_with_forest_src, tour_from_tree_doubling, tours_for_forest_src, QTours, Routing,
-};
+pub use qtsp::{q_rooted_tsp, tour_from_tree_doubling, tours_for_forest_src, QTours, Routing};
 pub use recovery::{degraded_tour_set, surviving_depots};
 pub use refine::{refine, refine_tour_set, Budget, RefineReport};
 pub use rounding::{partition_cycles, power_class, CyclePartition};

@@ -8,7 +8,8 @@
 //! and is used by the objective-comparison experiment:
 //!
 //! 1. start from the optimal `q`-rooted MSF assignment (Algorithm 1),
-//! 2. route each group ([`crate::qtsp::Routing`]),
+//! 2. route each group ([`crate::qtsp::Routing`]) and refine its tour with
+//!    a short, seeded `perpetuum-opt` run,
 //! 3. local search: repeatedly move a sensor from the longest tour to the
 //!    charger whose tour grows the least, while the makespan improves.
 //!
@@ -16,9 +17,18 @@
 //! `O(rounds · n · q)` routing calls — fine at experiment scale.
 
 use crate::network::Network;
-use crate::qtsp::{q_rooted_tsp_routed_src, Routing};
+use crate::qtsp::{q_rooted_tsp, Routing};
 use crate::schedule::TourSet;
 use perpetuum_graph::Tour;
+use perpetuum_opt::{Budget, RefineParams, Refiner};
+
+/// Refiner steps spent on every routed group. Each search move re-routes
+/// two groups, so this stays small: a few improvement rounds on an
+/// experiment-scale group.
+const ROUTE_REFINE_STEPS: u64 = 2_000;
+
+/// Fixed refiner seed, so covers are deterministic.
+const ROUTE_REFINE_SEED: u64 = 0x4D49_4E4D_4158;
 
 /// Result of the min–max cover heuristic.
 #[derive(Debug, Clone)]
@@ -65,8 +75,11 @@ pub fn min_max_cover(
         if group_nodes.is_empty() {
             return Tour::singleton(depot);
         }
-        let qt = q_rooted_tsp_routed_src(&dist, &group_nodes, &[depot], routing, 2);
-        qt.tours.into_iter().next().expect("one root, one tour")
+        let qt = q_rooted_tsp(&dist, &group_nodes, &[depot], routing);
+        let tours = qt.tours.into_iter().map(Tour::into_nodes).collect();
+        let mut refiner = Refiner::new(tours, &dist, RefineParams::seeded(ROUTE_REFINE_SEED));
+        refiner.run(&Budget::steps(ROUTE_REFINE_STEPS));
+        refiner.into_tours().pop().expect("one root, one tour")
     };
 
     let mut tours: Vec<Tour> = (0..q).map(|l| route(&groups[l], depots[l])).collect();
@@ -189,7 +202,8 @@ mod tests {
             let net = network(25, 4, seed + 10);
             let sensors: Vec<usize> = (0..25).collect();
             // Seed solution: Algorithm 2's tours.
-            let qt = q_rooted_tsp(net.dist(), &sensors, &net.depot_nodes(), 0);
+            let qt =
+                q_rooted_tsp(&net.dist_source(), &sensors, &net.depot_nodes(), Routing::Doubling);
             let seed_span = qt.tours.iter().map(|t| t.length(net.dist())).fold(0.0f64, f64::max);
             let c = min_max_cover(&net, &sensors, Routing::Doubling, 100);
             assert!(c.makespan <= seed_span + 1e-6, "seed {seed}: {} vs {}", c.makespan, seed_span);

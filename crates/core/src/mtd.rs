@@ -17,16 +17,13 @@
 //! `⌈T/τ'_n⌉` times.
 
 use crate::network::Instance;
-use crate::qtsp::{q_rooted_tsp_routed_src, Routing};
+use crate::qtsp::{q_rooted_tsp, Routing};
 use crate::rounding::{partition_cycles, CyclePartition};
 use crate::schedule::{ScheduleSeries, TourSet};
 
 /// Tunables for [`plan_min_total_distance`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MtdConfig {
-    /// Local-search rounds applied to each tour (ablation only; `0` — the
-    /// default — is the paper's plain Algorithm 2 routing).
-    pub polish_rounds: usize,
     /// Tree-to-tour routing (ablation only; the default
     /// [`Routing::Doubling`] is the paper's Algorithm 2).
     pub routing: Routing,
@@ -75,13 +72,7 @@ pub(crate) fn build_cumulative_tour_sets(
     (0..=partition.k_max())
         .map(|k| {
             let terminals = partition.cumulative(k);
-            let qt = q_rooted_tsp_routed_src(
-                &network.dist_source(),
-                &terminals,
-                &depots,
-                cfg.routing,
-                cfg.polish_rounds,
-            );
+            let qt = q_rooted_tsp(&network.dist_source(), &terminals, &depots, cfg.routing);
             TourSet::from_qtours(qt, |v| v >= n)
         })
         .collect()
@@ -205,25 +196,6 @@ mod tests {
     }
 
     #[test]
-    fn polish_only_reduces_cost() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-        let sensors: Vec<Point2> = (0..40)
-            .map(|_| Point2::new(rng.gen_range(0.0..1000.0), rng.gen_range(0.0..1000.0)))
-            .collect();
-        let cycles: Vec<f64> = (0..40).map(|_| rng.gen_range(1.0..50.0)).collect();
-        let depots = vec![Point2::new(500.0, 500.0), Point2::new(100.0, 900.0)];
-        let inst = Instance::new(Network::new(sensors, depots), cycles, 64.0);
-        let plain = plan_min_total_distance(&inst, &MtdConfig::default());
-        let polished = plan_min_total_distance(
-            &inst,
-            &MtdConfig { polish_rounds: 10, ..MtdConfig::default() },
-        );
-        assert!(polished.service_cost() <= plain.service_cost() + 1e-9);
-        crate::feasibility::check_series(&inst, &polished).unwrap();
-    }
-
-    #[test]
     fn matching_routing_is_feasible_and_cheaper_on_average() {
         use crate::qtsp::Routing;
         use rand::{Rng, SeedableRng};
@@ -238,10 +210,7 @@ mod tests {
             let depots = vec![Point2::new(500.0, 500.0)];
             let inst = Instance::new(Network::new(sensors, depots), cycles, 64.0);
             let doubled = plan_min_total_distance(&inst, &MtdConfig::default());
-            let matched = plan_min_total_distance(
-                &inst,
-                &MtdConfig { routing: Routing::Matching, ..MtdConfig::default() },
-            );
+            let matched = plan_min_total_distance(&inst, &MtdConfig { routing: Routing::Matching });
             crate::feasibility::check_series(&inst, &matched).unwrap();
             doubled_total += doubled.service_cost();
             matched_total += matched.service_cost();

@@ -15,20 +15,21 @@
 //!   "significantly increasing the service cost".
 
 use crate::network::Instance;
-use crate::qtsp::q_rooted_tsp_src;
+use crate::qtsp::{q_rooted_tsp, Routing};
 use crate::schedule::{ScheduleSeries, TourSet};
 
 /// Charges each sensor individually at exact multiples of its own maximum
 /// charging cycle. Feasible by construction; no tour sharing.
 pub fn plan_per_sensor_cadence(instance: &Instance) -> ScheduleSeries {
     let network = instance.network();
+    let src = network.dist_source();
     let depots = network.depot_nodes();
     let n = network.n();
     let mut series = ScheduleSeries::new();
     let mut dispatches: Vec<(f64, usize)> = Vec::new();
     for i in 0..n {
         let set_id = series.add_set(TourSet::from_qtours(
-            q_rooted_tsp_src(&network.dist_source(), &[network.sensor_node(i)], &depots, 0),
+            q_rooted_tsp(&src, &[network.sensor_node(i)], &depots, Routing::Doubling),
             |v| v >= n,
         ));
         let tau = instance.cycles()[i];
@@ -56,7 +57,7 @@ pub fn plan_charge_all(instance: &Instance) -> ScheduleSeries {
     }
     let all: Vec<usize> = (0..n).collect();
     let set = series.add_set(TourSet::from_qtours(
-        q_rooted_tsp_src(&network.dist_source(), &all, &network.depot_nodes(), 0),
+        q_rooted_tsp(&network.dist_source(), &all, &network.depot_nodes(), Routing::Doubling),
         |v| v >= n,
     ));
     let tau_min = instance.cycles().iter().cloned().fold(f64::INFINITY, f64::min);

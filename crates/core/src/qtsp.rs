@@ -11,17 +11,15 @@
 //! optimal tour and you get a feasible forest), and doubling at most
 //! doubles it — Theorem 1.
 //!
-//! The optional *polish* pass (2-opt + Or-opt on each tour) is **not** part
-//! of the paper's algorithm; it exists for the tour-polish ablation bench
-//! and never breaks the approximation guarantee because local search only
-//! shortens tours.
+//! Tour *improvement* is not part of the paper's algorithm and not done
+//! here: [`mod@crate::refine`] runs the `perpetuum-opt` local search as a
+//! post-pass over finished tour sets.
 
 use crate::qmsf::{q_rooted_msf_src, ForestEdge};
 use perpetuum_graph::euler::{double_edges, euler_circuit};
 use perpetuum_graph::tsp_christofides::tour_from_tree_matched;
-use perpetuum_graph::tsp_heur::polish;
 use perpetuum_graph::tsp_savings::savings_tour;
-use perpetuum_graph::{DistMatrix, DistSource, Metric, Tour};
+use perpetuum_graph::{DistSource, Metric, Tour};
 
 /// How each MSF tree is turned into a closed tour.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -75,13 +73,18 @@ impl QTours {
 }
 
 /// **Algorithm 2** on a host graph: closed tours over `terminals`, one per
-/// root in `roots` (node ids of `dist`). Set `polish_rounds > 0` to run the
-/// ablation-only local-search pass on each tour.
+/// root in `roots` (node ids of `src`), each tree turned into a tour by
+/// `routing`.
+///
+/// `Dense` sources reproduce the classic pipeline exactly; `Points`
+/// sources use the sparse super-root MSF
+/// ([`crate::qmsf::q_rooted_msf_sparse`]) and compute distances on demand,
+/// so no dense matrix is ever forced.
 ///
 /// ```
-/// use perpetuum_core::qtsp::q_rooted_tsp;
+/// use perpetuum_core::qtsp::{q_rooted_tsp, Routing};
 /// use perpetuum_geom::Point2;
-/// use perpetuum_graph::DistMatrix;
+/// use perpetuum_graph::{DistMatrix, DistSource};
 ///
 /// // Nodes 0–2 are sensors, 3 and 4 are depots.
 /// let dist = DistMatrix::from_points(&[
@@ -91,7 +94,7 @@ impl QTours {
 ///     Point2::new(0.0, 0.0),   // depot A
 ///     Point2::new(100.0, 0.0), // depot B
 /// ]);
-/// let tours = q_rooted_tsp(&dist, &[0, 1, 2], &[3, 4], 0);
+/// let tours = q_rooted_tsp(&DistSource::dense(&dist), &[0, 1, 2], &[3, 4], Routing::Doubling);
 /// assert_eq!(tours.tours.len(), 2);
 /// // Near sensors go to depot A, the far one to depot B.
 /// assert_eq!(tours.tours[0].nodes(), &[3, 0, 1]);
@@ -99,55 +102,18 @@ impl QTours {
 /// assert!((tours.cost - (40.0 + 20.0)).abs() < 1e-9);
 /// ```
 pub fn q_rooted_tsp(
-    dist: &DistMatrix,
-    terminals: &[usize],
-    roots: &[usize],
-    polish_rounds: usize,
-) -> QTours {
-    q_rooted_tsp_routed(dist, terminals, roots, Routing::Doubling, polish_rounds)
-}
-
-/// [`q_rooted_tsp`] with an explicit tree-to-tour [`Routing`] method.
-pub fn q_rooted_tsp_routed(
-    dist: &DistMatrix,
-    terminals: &[usize],
-    roots: &[usize],
-    routing: Routing,
-    polish_rounds: usize,
-) -> QTours {
-    q_rooted_tsp_routed_src(&DistSource::dense(dist), terminals, roots, routing, polish_rounds)
-}
-
-/// [`q_rooted_tsp_routed`] over a [`DistSource`]: the planning entry point
-/// that never forces a dense matrix. `Dense` sources reproduce the classic
-/// pipeline exactly; `Points` sources use the sparse super-root MSF
-/// ([`crate::qmsf::q_rooted_msf_sparse`]) and compute distances on demand.
-pub fn q_rooted_tsp_src(
-    src: &DistSource<'_>,
-    terminals: &[usize],
-    roots: &[usize],
-    polish_rounds: usize,
-) -> QTours {
-    q_rooted_tsp_routed_src(src, terminals, roots, Routing::Doubling, polish_rounds)
-}
-
-/// [`q_rooted_tsp_routed`] over a [`DistSource`], with per-root tours
-/// built in parallel.
-///
-/// Each root's tour (edge mapping, Euler circuit / matching / savings,
-/// polish) depends only on its own tree, so the per-root computations are
-/// embarrassingly parallel; results are collected in root order and the
-/// cost is summed in that same order, making the output **bit-identical**
-/// to the sequential loop for any worker count.
-pub fn q_rooted_tsp_routed_src(
     src: &DistSource<'_>,
     terminals: &[usize],
     roots: &[usize],
     routing: Routing,
-    polish_rounds: usize,
 ) -> QTours {
+    debug_assert!(
+        terminals.iter().all(|t| !roots.contains(t)),
+        "terminals and roots must be disjoint"
+    );
+    let forest = q_rooted_msf_src(src, terminals, roots);
     let workers = default_tour_workers(terminals.len(), roots.len());
-    q_rooted_tsp_routed_src_workers(src, terminals, roots, routing, polish_rounds, workers)
+    tours_for_forest_src(src, &forest, terminals, roots, routing, 0, workers)
 }
 
 /// The worker count the parallel per-root tour build defaults to.
@@ -155,7 +121,7 @@ pub fn q_rooted_tsp_routed_src(
 /// Thread spawn costs ~tens of µs; below [`PAR_TERMINALS_THRESHOLD`]
 /// terminals the whole per-root build is cheaper than that, so stay
 /// sequential (the result is identical either way — see
-/// [`q_rooted_tsp_routed_src`]).
+/// [`tours_for_forest_src`]).
 pub(crate) fn default_tour_workers(terminal_count: usize, root_count: usize) -> usize {
     const PAR_TERMINALS_THRESHOLD: usize = 256;
     if terminal_count >= PAR_TERMINALS_THRESHOLD {
@@ -165,55 +131,19 @@ pub(crate) fn default_tour_workers(terminal_count: usize, root_count: usize) -> 
     }
 }
 
-/// [`q_rooted_tsp_src`] that also returns the underlying Algorithm-1
-/// forest — the seeding hook for incremental replanning
-/// ([`crate::incremental`]), which must cache the forest a plan's tours
-/// were built from so later migrations can splice it instead of re-running
-/// Prim. Bit-identical to [`q_rooted_tsp_src`] (same forest, same per-root
-/// build).
-pub fn q_rooted_tsp_with_forest_src(
-    src: &DistSource<'_>,
-    terminals: &[usize],
-    roots: &[usize],
-    polish_rounds: usize,
-) -> (QTours, crate::qmsf::RootedForest) {
-    let forest = q_rooted_msf_src(src, terminals, roots);
-    let workers = default_tour_workers(terminals.len(), roots.len());
-    let qt = tours_for_forest_src(
-        src,
-        &forest,
-        terminals,
-        roots,
-        Routing::Doubling,
-        polish_rounds,
-        workers,
-    );
-    (qt, forest)
-}
-
-/// [`q_rooted_tsp_routed_src`] with an explicit worker count — the parity
-/// tests use it to pin sequential vs parallel runs against each other.
-#[doc(hidden)]
-pub fn q_rooted_tsp_routed_src_workers(
-    src: &DistSource<'_>,
-    terminals: &[usize],
-    roots: &[usize],
-    routing: Routing,
-    polish_rounds: usize,
-    workers: usize,
-) -> QTours {
-    debug_assert!(
-        terminals.iter().all(|t| !roots.contains(t)),
-        "terminals and roots must be disjoint"
-    );
-    let forest = q_rooted_msf_src(src, terminals, roots);
-    tours_for_forest_src(src, &forest, terminals, roots, routing, polish_rounds, workers)
-}
-
 /// The tour-construction half of Algorithm 2: turns an already-computed
-/// `q`-rooted forest into per-root closed tours. Split out of
-/// [`q_rooted_tsp_routed_src_workers`] so the incremental replanner can
-/// re-route a spliced forest without recomputing it.
+/// `q`-rooted forest ([`crate::qmsf::q_rooted_msf_src`]) into per-root
+/// closed tours on `workers` threads. Callers that keep the forest (the
+/// variable-cycle base builds, the incremental replanner) or pin the
+/// worker count (the parity tests) call it directly.
+///
+/// Each root's tour depends only on its own tree, so the per-root builds
+/// are embarrassingly parallel; results are collected in root order and
+/// the cost is summed in that same order, making the output
+/// **bit-identical** for any worker count.
+///
+/// `polish_rounds` must be 0: the parameter only keeps the signature the
+/// benchmark's cold-plan replay (`perfbench/src/plan_cold.rs`) calls.
 pub fn tours_for_forest_src(
     src: &DistSource<'_>,
     forest: &crate::qmsf::RootedForest,
@@ -223,7 +153,8 @@ pub fn tours_for_forest_src(
     polish_rounds: usize,
     workers: usize,
 ) -> QTours {
-    let groups = forest.terminals_by_root();
+    assert_eq!(polish_rounds, 0, "tour improvement is crate::refine's job");
+    let groups = (routing == Routing::Savings).then(|| forest.terminals_by_root());
     let node_count = src.len();
 
     let build_tour = |r: usize| -> Tour {
@@ -238,18 +169,16 @@ pub fn tours_for_forest_src(
         if edges.is_empty() {
             return Tour::singleton(root_node);
         }
-        let mut tour = match routing {
+        let tour = match routing {
             Routing::Doubling => tour_from_tree_doubling(&edges, root_node),
             Routing::Matching => tour_from_tree_matched(src, node_count, &edges, root_node),
             Routing::Savings => {
-                let customers: Vec<usize> = groups[r].iter().map(|&t| terminals[t]).collect();
+                let group = &groups.as_ref().expect("grouped for savings")[r];
+                let customers: Vec<usize> = group.iter().map(|&t| terminals[t]).collect();
                 savings_tour(src, root_node, &customers)
             }
         };
         debug_assert_eq!(tour.start(), Some(root_node));
-        if polish_rounds > 0 {
-            polish(&mut tour, src, polish_rounds);
-        }
         tour
     };
 
@@ -264,7 +193,7 @@ pub fn tours_for_forest_src(
 ///
 /// `edges` are the tree's edges in *host node-id* space and must form one
 /// tree containing `root_node`; an empty edge list yields a singleton tour.
-/// This is the exact Doubling arm of [`q_rooted_tsp_routed_src`], exposed
+/// This is the exact Doubling arm of [`tours_for_forest_src`], exposed
 /// so the incremental replanner can rebuild a single root's tour from a
 /// spliced forest tree (its fallback when warm-start repair loses to a
 /// fresh construction).
@@ -314,6 +243,11 @@ mod tests {
     use crate::qmsf::q_rooted_msf;
     use perpetuum_geom::Point2;
     use perpetuum_graph::tsp_exact::held_karp;
+    use perpetuum_graph::DistMatrix;
+
+    fn tsp(dist: &DistMatrix, terminals: &[usize], roots: &[usize], routing: Routing) -> QTours {
+        q_rooted_tsp(&DistSource::dense(dist), terminals, roots, routing)
+    }
 
     fn host(sensors: &[Point2], depots: &[Point2]) -> DistMatrix {
         let all: Vec<Point2> = sensors.iter().chain(depots.iter()).copied().collect();
@@ -323,7 +257,7 @@ mod tests {
     #[test]
     fn empty_terminals_gives_singleton_tours() {
         let dist = host(&[], &[Point2::ORIGIN, Point2::new(1.0, 1.0)]);
-        let qt = q_rooted_tsp(&dist, &[], &[0, 1], 0);
+        let qt = tsp(&dist, &[], &[0, 1], Routing::Doubling);
         assert_eq!(qt.cost, 0.0);
         assert_eq!(qt.tours.len(), 2);
         assert!(qt.tours.iter().all(|t| t.len() == 1));
@@ -332,7 +266,7 @@ mod tests {
     #[test]
     fn single_sensor_out_and_back() {
         let dist = host(&[Point2::new(3.0, 4.0)], &[Point2::ORIGIN]);
-        let qt = q_rooted_tsp(&dist, &[0], &[1], 0);
+        let qt = tsp(&dist, &[0], &[1], Routing::Doubling);
         assert!((qt.cost - 10.0).abs() < 1e-9);
         assert_eq!(qt.tours[0].nodes(), &[1, 0]);
     }
@@ -346,7 +280,7 @@ mod tests {
         let dist = host(&sensors, &depots);
         let terminals: Vec<usize> = (0..10).collect();
         let roots = vec![10, 11];
-        let qt = q_rooted_tsp(&dist, &terminals, &roots, 0);
+        let qt = tsp(&dist, &terminals, &roots, Routing::Doubling);
         for (l, t) in qt.tours.iter().enumerate() {
             assert_eq!(t.start(), Some(roots[l]));
         }
@@ -365,7 +299,7 @@ mod tests {
         let terminals: Vec<usize> = (0..15).collect();
         let roots = vec![15, 16, 17];
         let forest = q_rooted_msf(&dist, &terminals, &roots);
-        let qt = q_rooted_tsp(&dist, &terminals, &roots, 0);
+        let qt = tsp(&dist, &terminals, &roots, Routing::Doubling);
         assert!(qt.cost <= 2.0 * forest.weight + 1e-9);
         // MSF also lower-bounds the tour cost itself.
         assert!(qt.cost >= forest.weight - 1e-9);
@@ -383,31 +317,12 @@ mod tests {
             let depot = vec![Point2::new(250.0, 250.0)];
             let dist = host(&sensors, &depot);
             let terminals: Vec<usize> = (0..9).collect();
-            let qt = q_rooted_tsp(&dist, &terminals, &[9], 0);
+            let qt = tsp(&dist, &terminals, &[9], Routing::Doubling);
             // Full-graph TSP (all 10 nodes) is the q=1 optimum.
             let (_, opt) = held_karp(&dist);
             assert!(qt.cost <= 2.0 * opt + 1e-9, "seed {seed}: approx {} vs opt {opt}", qt.cost);
             assert!(qt.cost >= opt - 1e-9);
         }
-    }
-
-    #[test]
-    fn polish_never_worsens() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-        let sensors: Vec<Point2> = (0..25)
-            .map(|_| Point2::new(rng.gen_range(0.0..1000.0), rng.gen_range(0.0..1000.0)))
-            .collect();
-        let depots = vec![Point2::new(500.0, 500.0), Point2::new(0.0, 0.0)];
-        let dist = host(&sensors, &depots);
-        let terminals: Vec<usize> = (0..25).collect();
-        let plain = q_rooted_tsp(&dist, &terminals, &[25, 26], 0);
-        let polished = q_rooted_tsp(&dist, &terminals, &[25, 26], 20);
-        assert!(polished.cost <= plain.cost + 1e-9);
-        // Polishing preserves coverage and roots.
-        assert_eq!(polished.covered_nodes(|n| n >= 25), terminals);
-        assert_eq!(polished.tours[0].start(), Some(25));
-        assert_eq!(polished.tours[1].start(), Some(26));
     }
 
     #[test]
@@ -422,7 +337,7 @@ mod tests {
         let terminals: Vec<usize> = (0..20).collect();
         let roots = vec![20, 21];
         let forest = q_rooted_msf(&dist, &terminals, &roots);
-        let matched = q_rooted_tsp_routed(&dist, &terminals, &roots, Routing::Matching, 0);
+        let matched = tsp(&dist, &terminals, &roots, Routing::Matching);
         assert_eq!(matched.covered_nodes(|n| n >= 20), terminals);
         assert!(matched.cost <= 2.0 * forest.weight + 1e-9);
         for (l, t) in matched.tours.iter().enumerate() {
@@ -441,7 +356,7 @@ mod tests {
         let dist = host(&sensors, &depots);
         let terminals: Vec<usize> = (0..25).collect();
         let roots = vec![25, 26];
-        let saved = q_rooted_tsp_routed(&dist, &terminals, &roots, Routing::Savings, 0);
+        let saved = tsp(&dist, &terminals, &roots, Routing::Savings);
         assert_eq!(saved.covered_nodes(|n| n >= 25), terminals);
         for (l, t) in saved.tours.iter().enumerate() {
             assert_eq!(t.start(), Some(roots[l]));
@@ -467,9 +382,8 @@ mod tests {
             let depots = vec![Point2::new(500.0, 500.0)];
             let dist = host(&sensors, &depots);
             let terminals: Vec<usize> = (0..30).collect();
-            matched_total +=
-                q_rooted_tsp_routed(&dist, &terminals, &[30], Routing::Matching, 0).cost;
-            doubled_total += q_rooted_tsp(&dist, &terminals, &[30], 0).cost;
+            matched_total += tsp(&dist, &terminals, &[30], Routing::Matching).cost;
+            doubled_total += tsp(&dist, &terminals, &[30], Routing::Doubling).cost;
         }
         assert!(
             matched_total < doubled_total,
@@ -497,11 +411,14 @@ mod tests {
         let src = DistSource::dense(&dist);
         let terminals: Vec<usize> = (0..n).collect();
         let roots: Vec<usize> = (n..n + 4).collect();
+        let forest = q_rooted_msf_src(&src, &terminals, &roots);
+        let build = |routing, workers| {
+            tours_for_forest_src(&src, &forest, &terminals, &roots, routing, 0, workers)
+        };
         for routing in [Routing::Doubling, Routing::Matching, Routing::Savings] {
-            let seq = q_rooted_tsp_routed_src_workers(&src, &terminals, &roots, routing, 3, 1);
+            let seq = build(routing, 1);
             for workers in [2, 4, 7] {
-                let par =
-                    q_rooted_tsp_routed_src_workers(&src, &terminals, &roots, routing, 3, workers);
+                let par = build(routing, workers);
                 assert_eq!(seq.cost.to_bits(), par.cost.to_bits(), "{routing:?}/{workers}");
                 for (a, b) in seq.tours.iter().zip(&par.tours) {
                     assert_eq!(a.nodes(), b.nodes(), "{routing:?}/{workers}");
@@ -529,8 +446,9 @@ mod tests {
             let dist = DistMatrix::from_points(&all);
             let terminals: Vec<usize> = (0..n).collect();
             let roots = vec![n, n + 1];
-            let dense = q_rooted_tsp_src(&DistSource::dense(&dist), &terminals, &roots, 2);
-            let sparse = q_rooted_tsp_src(&DistSource::points(&all), &terminals, &roots, 2);
+            let dense = tsp(&dist, &terminals, &roots, Routing::Doubling);
+            let sparse =
+                q_rooted_tsp(&DistSource::points(&all), &terminals, &roots, Routing::Doubling);
             assert_eq!(
                 dense.covered_nodes(|v| v >= n),
                 sparse.covered_nodes(|v| v >= n),
@@ -556,7 +474,7 @@ mod tests {
         // One sensor next to depot 1 must not be toured by depot 0.
         let dist =
             host(&[Point2::new(99.0, 0.0)], &[Point2::new(0.0, 0.0), Point2::new(100.0, 0.0)]);
-        let qt = q_rooted_tsp(&dist, &[0], &[1, 2], 0);
+        let qt = tsp(&dist, &[0], &[1, 2], Routing::Doubling);
         assert_eq!(qt.tours[0].len(), 1);
         assert_eq!(qt.tours[1].nodes(), &[2, 0]);
         assert!((qt.cost - 2.0).abs() < 1e-9);

@@ -25,8 +25,10 @@ use std::collections::BTreeMap;
 
 use crate::mtd::{nu2, push_dispatch_timeline};
 use crate::network::Network;
-use crate::qmsf::{rooted_msf_general, rooted_msf_points, RootedForest, SPARSE_MSF_K};
-use crate::qtsp::{q_rooted_tsp_src, q_rooted_tsp_with_forest_src, QTours};
+use crate::qmsf::{
+    q_rooted_msf_src, rooted_msf_general, rooted_msf_points, RootedForest, SPARSE_MSF_K,
+};
+use crate::qtsp::{default_tour_workers, q_rooted_tsp, tours_for_forest_src, QTours, Routing};
 use crate::rounding::{partition_cycles, power_class, CyclePartition};
 use crate::schedule::{ScheduleSeries, TourSet};
 use perpetuum_geom::Point2;
@@ -45,8 +47,6 @@ pub struct VarInput<'a> {
     pub now: f64,
     /// Monitoring period end `T`.
     pub horizon: f64,
-    /// Local-search rounds per tour (ablation only, 0 = paper).
-    pub polish_rounds: usize,
 }
 
 /// Output of a replanning round.
@@ -206,8 +206,7 @@ pub fn replan_variable_detailed(input: &VarInput, repair: RepairStrategy) -> Var
     let depot_nodes = network.depot_nodes();
     let route = |sensors: &[usize]| -> TourSet {
         let nodes: Vec<usize> = sensors.iter().map(|&i| network.sensor_node(i)).collect();
-        let qt =
-            q_rooted_tsp_src(&network.dist_source(), &nodes, &depot_nodes, input.polish_rounds);
+        let qt = q_rooted_tsp(&network.dist_source(), &nodes, &depot_nodes, Routing::Doubling);
         TourSet::from_qtours(qt, |v| v >= n)
     };
 
@@ -219,11 +218,17 @@ pub fn replan_variable_detailed(input: &VarInput, repair: RepairStrategy) -> Var
         .iter()
         .map(|d| {
             let nodes: Vec<usize> = d.iter().map(|&i| network.sensor_node(i)).collect();
-            let (qt, forest) = q_rooted_tsp_with_forest_src(
-                &network.dist_source(),
+            let src = network.dist_source();
+            let forest = q_rooted_msf_src(&src, &nodes, &depot_nodes);
+            let workers = default_tour_workers(nodes.len(), depot_nodes.len());
+            let qt = tours_for_forest_src(
+                &src,
+                &forest,
                 &nodes,
                 &depot_nodes,
-                input.polish_rounds,
+                Routing::Doubling,
+                0,
+                workers,
             );
             let id = series.add_set(TourSet::from_qtours(qt.clone(), |v| v >= n));
             base_builds.push((forest, qt));
@@ -376,7 +381,6 @@ mod tests {
             residuals: &cycles.clone(),
             now: 0.0,
             horizon: 50.0,
-            polish_rounds: 0,
         };
         let plan = replan_variable(&input);
         check_var_plan(&input, &plan).unwrap();
@@ -399,7 +403,6 @@ mod tests {
             residuals: &residuals,
             now: 10.0,
             horizon: 40.0,
-            polish_rounds: 0,
         };
         let plan = replan_variable(&input);
         let times = plan.series.charge_times(3);
@@ -424,7 +427,6 @@ mod tests {
             residuals: &residuals,
             now: 0.0,
             horizon: 64.0,
-            polish_rounds: 0,
         };
         let plan = replan_variable(&input);
         check_var_plan(&input, &plan).unwrap();
@@ -449,7 +451,6 @@ mod tests {
                 residuals: &residuals,
                 now,
                 horizon: now + rng.gen_range(10.0..500.0),
-                polish_rounds: 0,
             };
             let plan = replan_variable(&input);
             check_var_plan(&input, &plan).unwrap_or_else(|e| panic!("seed {seed}: {e:?}"));
@@ -478,7 +479,6 @@ mod tests {
                 residuals: &residuals,
                 now: 0.0,
                 horizon: 100.0,
-                polish_rounds: 0,
             };
             nearest_total += replan_variable(&input).series.service_cost();
             naive_total +=
@@ -500,7 +500,6 @@ mod tests {
             residuals: &cycles.clone(),
             now: 0.0,
             horizon: 64.0,
-            polish_rounds: 0,
         };
         let plan = replan_variable(&input);
         assert_eq!(plan.assigned_cycles, vec![1.0, 1.0, 2.0, 2.0, 4.0, 32.0]);
@@ -536,7 +535,6 @@ mod tests {
                 residuals: &residuals,
                 now: 3.0,
                 horizon: 120.0,
-                polish_rounds: 0,
             };
             let plan = replan_variable(&input);
             check_var_plan(&input, &plan).unwrap_or_else(|e| panic!("seed {seed}: {e:?}"));
@@ -554,7 +552,6 @@ mod tests {
             residuals: &cycles.clone(),
             now: 0.0,
             horizon: 64.0,
-            polish_rounds: 0,
         };
         let plan = replan_variable(&input);
         let partition = partition_cycles(&cycles);
@@ -574,7 +571,6 @@ mod tests {
             residuals: &[],
             now: 0.0,
             horizon: 10.0,
-            polish_rounds: 0,
         };
         let plan = replan_variable(&input);
         assert_eq!(plan.series.dispatch_count(), 0);

@@ -11,7 +11,7 @@ use perpetuum_core::greedy::{plan_greedy_fixed, GreedyConfig};
 use perpetuum_core::mtd::{plan_min_total_distance, MtdConfig};
 use perpetuum_core::network::{Instance, Network};
 use perpetuum_core::qmsf::q_rooted_msf;
-use perpetuum_core::qtsp::q_rooted_tsp;
+use perpetuum_core::qtsp::{q_rooted_tsp, Routing};
 use perpetuum_core::rounding::partition_cycles;
 use perpetuum_core::var::{check_var_plan, replan_variable, VarInput};
 use perpetuum_geom::Point2;
@@ -43,7 +43,7 @@ proptest! {
         let terminals: Vec<usize> = (0..network.n()).collect();
         let roots = network.depot_nodes();
         let forest = q_rooted_msf(network.dist(), &terminals, &roots);
-        let tours = q_rooted_tsp(network.dist(), &terminals, &roots, 0);
+        let tours = q_rooted_tsp(&network.dist_source(), &terminals, &roots, Routing::Doubling);
         // Theorem 1 sandwich: w(MSF) ≤ w(tours) ≤ 2 w(MSF).
         prop_assert!(tours.cost + 1e-6 >= forest.weight);
         prop_assert!(tours.cost <= 2.0 * forest.weight + 1e-6);
@@ -126,7 +126,6 @@ proptest! {
             residuals: &residuals,
             now,
             horizon: now + span,
-            polish_rounds: 0,
         };
         let plan = replan_variable(&input);
         prop_assert!(check_var_plan(&input, &plan).is_ok());
@@ -135,17 +134,5 @@ proptest! {
             prop_assert!(plan.assigned_cycles[i] <= tau + 1e-12);
             prop_assert!(plan.assigned_cycles[i] > tau / 2.0 - 1e-12);
         }
-    }
-
-    #[test]
-    fn polish_preserves_feasibility_and_cost_bound(
-        (network, cyc) in instance(),
-        horizon in 20.0..100.0f64,
-    ) {
-        let inst = Instance::new(network, cyc, horizon);
-        let plain = plan_min_total_distance(&inst, &MtdConfig::default());
-        let polished = plan_min_total_distance(&inst, &MtdConfig { polish_rounds: 5, ..MtdConfig::default() });
-        prop_assert!(check_series(&inst, &polished).is_ok());
-        prop_assert!(polished.service_cost() <= plain.service_cost() + 1e-6);
     }
 }

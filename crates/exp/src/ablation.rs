@@ -7,13 +7,14 @@
 //!   (Algorithm 3) versus charging each sensor at its exact cadence with
 //!   no tour sharing, and versus charging everyone every `τ_min`;
 //! * **tour-polish** — how much of Algorithm 2's tree-doubling slack a
-//!   cheap 2-opt/Or-opt pass recovers (the guarantee says ≤ 2×, practice
-//!   is usually much tighter);
+//!   fixed-budget `perpetuum-opt` refine post-pass ([`REFINE_STEPS`])
+//!   recovers (the guarantee says ≤ 2×, practice is usually much
+//!   tighter);
 //! * **repair** — `MinTotalDistance-var`'s nearest-scheduling `V^a`
 //!   insertion versus naively charging all of `V^a` immediately;
 //! * **routing** — Algorithm 2's tree doubling versus the
-//!   Christofides-style odd-vertex matching, with and without the
-//!   2-opt/Or-opt polish.
+//!   Christofides-style odd-vertex matching and Clarke–Wright savings,
+//!   with and without the same refine post-pass.
 
 use crate::figures::{FigureData, Series};
 use crate::scenario::Scenario;
@@ -21,6 +22,8 @@ use perpetuum_core::mtd::{plan_min_total_distance, MtdConfig};
 use perpetuum_core::naive::{plan_charge_all, plan_per_sensor_cadence};
 use perpetuum_core::network::Instance;
 use perpetuum_core::qtsp::Routing;
+use perpetuum_core::refine::{refine, Budget};
+use perpetuum_core::schedule::ScheduleSeries;
 use perpetuum_core::var::RepairStrategy;
 use perpetuum_par::{mean, par_map, std_dev};
 use perpetuum_sim::{run, SimConfig, VarPolicy};
@@ -30,11 +33,11 @@ use perpetuum_sim::{run, SimConfig, VarPolicy};
 pub enum AblationId {
     /// Power-of-two rounding + alignment vs exact cadence vs charge-all.
     Rounding,
-    /// Algorithm 2 plain vs + local-search polish.
+    /// Algorithm 2 plain vs + a refine post-pass.
     TourPolish,
     /// Nearest-scheduling `V^a` repair vs charge-all-now.
     Repair,
-    /// Tree doubling vs odd-vertex matching, plain and polished.
+    /// Tree doubling vs odd-vertex matching vs savings, plain and refined.
     Routing,
 }
 
@@ -70,15 +73,24 @@ impl AblationId {
             AblationId::Rounding => {
                 "Ablation: power-of-2 rounding + alignment vs exact cadence vs charge-all"
             }
-            AblationId::TourPolish => "Ablation: Algorithm 2 plain vs 2-opt/Or-opt polish",
+            AblationId::TourPolish => "Ablation: Algorithm 2 plain vs + perpetuum-opt refine",
             AblationId::Repair => {
                 "Ablation: V^a nearest-scheduling repair vs charge-all-now repair"
             }
             AblationId::Routing => {
-                "Ablation: tree doubling vs odd-vertex matching routing (plain / polished)"
+                "Ablation: tree doubling vs odd-vertex matching routing (plain / refined)"
             }
         }
     }
+}
+
+/// Step budget of the `perpetuum-opt` post-pass (`core::refine`) that the
+/// polish and routing ablations run on Algorithm 3's plans.
+pub const REFINE_STEPS: u64 = 400_000;
+
+/// Service cost of `plan` after the fixed-budget refine post-pass.
+fn refined_cost(inst: &Instance, plan: &ScheduleSeries, seed: u64) -> f64 {
+    refine(inst.network(), plan, &Budget::steps(REFINE_STEPS), seed).1.refined_cost
 }
 
 fn collect(
@@ -155,14 +167,9 @@ pub fn run_ablation(id: AblationId, topologies: usize, seed: u64) -> FigureData 
                     let topo = s.build_topology(seed, i as u64);
                     let inst =
                         Instance::new(topo.network.clone(), topo.init_cycles.clone(), s.horizon);
-                    let plain =
-                        plan_min_total_distance(&inst, &MtdConfig::default()).service_cost();
-                    let polished = plan_min_total_distance(
-                        &inst,
-                        &MtdConfig { polish_rounds: 10, ..MtdConfig::default() },
-                    )
-                    .service_cost();
-                    [plain / 1000.0, polished / 1000.0]
+                    let plan = plan_min_total_distance(&inst, &MtdConfig::default());
+                    let refined = refined_cost(&inst, &plan, seed);
+                    [plan.service_cost() / 1000.0, refined / 1000.0]
                 });
                 cells.push(transpose(rows));
             }
@@ -170,7 +177,7 @@ pub fn run_ablation(id: AblationId, topologies: usize, seed: u64) -> FigureData 
                 id,
                 "network size n",
                 ns.iter().map(|&n| n as f64).collect(),
-                &["Algorithm 2 (doubling)", "Algorithm 2 + 2-opt/Or-opt"],
+                &["Algorithm 2 (doubling)", "Algorithm 2 + refine"],
                 cells,
                 topologies,
                 seed,
@@ -185,17 +192,15 @@ pub fn run_ablation(id: AblationId, topologies: usize, seed: u64) -> FigureData 
                     let topo = s.build_topology(seed, i as u64);
                     let inst =
                         Instance::new(topo.network.clone(), topo.init_cycles.clone(), s.horizon);
-                    let plan = |routing: Routing, polish_rounds: usize| {
-                        plan_min_total_distance(&inst, &MtdConfig { routing, polish_rounds })
-                            .service_cost()
-                            / 1000.0
-                    };
+                    let plan = |routing| plan_min_total_distance(&inst, &MtdConfig { routing });
+                    let doubled = plan(Routing::Doubling);
+                    let matched = plan(Routing::Matching);
                     [
-                        plan(Routing::Doubling, 0),
-                        plan(Routing::Matching, 0),
-                        plan(Routing::Savings, 0),
-                        plan(Routing::Doubling, 10),
-                        plan(Routing::Matching, 10),
+                        doubled.service_cost() / 1000.0,
+                        matched.service_cost() / 1000.0,
+                        plan(Routing::Savings).service_cost() / 1000.0,
+                        refined_cost(&inst, &doubled, seed) / 1000.0,
+                        refined_cost(&inst, &matched, seed) / 1000.0,
                     ]
                 });
                 cells.push(transpose(rows));
@@ -208,8 +213,8 @@ pub fn run_ablation(id: AblationId, topologies: usize, seed: u64) -> FigureData 
                     "doubling (Algorithm 2)",
                     "matching",
                     "savings (Clarke-Wright)",
-                    "doubling + polish",
-                    "matching + polish",
+                    "doubling + refine",
+                    "matching + refine",
                 ],
                 cells,
                 topologies,
@@ -297,7 +302,7 @@ mod tests {
     fn routing_ablation_matching_helps() {
         let fd = run_ablation(AblationId::Routing, 2, 8);
         for i in 0..fd.xs.len() {
-            // Matching beats plain doubling; polished doubling beats plain.
+            // Matching beats plain doubling; refined doubling beats plain.
             assert!(fd.series[1].values[i] <= fd.series[0].values[i] + 1e-9);
             assert!(fd.series[3].values[i] <= fd.series[0].values[i] + 1e-9);
             // Savings has no guarantee but should stay in the same league.

@@ -246,7 +246,8 @@ fn run_minmax(topologies: usize, seed: u64) -> FigureData {
         let rows = par_map(topologies, |i| {
             let topo = s.build_topology(seed, i as u64);
             let sensors: Vec<usize> = (0..n).collect();
-            let qt = q_rooted_tsp(topo.network.dist(), &sensors, &topo.network.depot_nodes(), 0);
+            let src = topo.network.dist_source();
+            let qt = q_rooted_tsp(&src, &sensors, &topo.network.depot_nodes(), Routing::Doubling);
             let alg2_span =
                 qt.tours.iter().map(|t| t.length(topo.network.dist())).fold(0.0f64, f64::max);
             let mm = min_max_cover(&topo.network, &sensors, Routing::Doubling, 200);

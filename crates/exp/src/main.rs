@@ -190,12 +190,17 @@ fn main() -> ExitCode {
     };
 
     if let Some(path) = &args.render_topology {
-        use perpetuum_core::qtsp::q_rooted_tsp;
+        use perpetuum_core::qtsp::{q_rooted_tsp, Routing};
         use perpetuum_core::schedule::TourSet;
         let scenario = perpetuum_exp::Scenario::paper_fixed();
         let topo = scenario.build_topology(args.seed, 0);
         let all: Vec<usize> = (0..topo.network.n()).collect();
-        let qt = q_rooted_tsp(topo.network.dist(), &all, &topo.network.depot_nodes(), 0);
+        let qt = q_rooted_tsp(
+            &topo.network.dist_source(),
+            &all,
+            &topo.network.depot_nodes(),
+            Routing::Doubling,
+        );
         let n = topo.network.n();
         let set = TourSet::from_qtours(qt, |v| v >= n);
         let svg = perpetuum_exp::viz::render_tour_set_svg(

@@ -20,8 +20,8 @@
 //! * [`tour`] — closed tours, walk short-cutting and validation,
 //! * [`tsp_exact`] — Held–Karp dynamic programming for reference optima on
 //!   small instances,
-//! * [`tsp_heur`] — nearest-neighbour construction and 2-opt / Or-opt local
-//!   search used for tour polishing ablations,
+//! * [`tsp_heur`] — nearest-neighbour construction (a test baseline) and
+//!   k-NN candidate lists for the `perpetuum-opt` refiner,
 //! * [`matching`] — greedy + 2-swap minimum-weight perfect matching,
 //! * [`tsp_christofides`] — MST + odd-vertex-matching tour construction
 //!   (the routing ablation's alternative to tree doubling),

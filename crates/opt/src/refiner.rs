@@ -12,18 +12,17 @@
 //!   tour of the family (sensor-to-charger reassignment),
 //! * **swap** — exchange two sensors between two tours.
 //!
-//! Every kernel is strict-improvement only (`delta < -eps`, the same
-//! `1e-12` slack the constructive polish uses), so the current state *is*
-//! the incumbent: [`Refiner::best`] can be taken at any point and is
-//! never worse than the input. Depots are pinned — position 0 of every
+//! Every kernel is strict-improvement only (`delta < -eps`, a `1e-12`
+//! slack), so the current state *is* the incumbent: [`Refiner::best`] can
+//! be taken at any point and is never worse than the input. Depots are pinned — position 0 of every
 //! tour is untouchable — so feasibility of the surrounding schedule
 //! (which depends only on set membership and dispatch times) is
 //! preserved by construction.
 //!
 //! Move scanning is candidate-limited when point positions are known
-//! ([`Refiner::set_candidates`] builds k-NN lists via the same kd-tree
-//! the constructive polish uses), so a pass is `O(n·k)` and the dense
-//! `n²` matrix is never required. Work is metered by [`Budget`]: one
+//! ([`Refiner::set_candidates`] builds k-NN lists with
+//! `perpetuum_graph::tsp_heur::knn_candidates` over a kd-tree), so a pass
+//! is `O(n·k)` and the dense `n²` matrix is never required. Work is metered by [`Budget`]: one
 //! step = one candidate-move evaluation, making iteration-bounded runs
 //! byte-reproducible for a fixed `(seed, budget)`.
 
@@ -34,7 +33,7 @@ use perpetuum_graph::{Metric, Tour};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Strict-improvement slack shared by all kernels (matches `tsp_heur`).
+/// Strict-improvement slack shared by all kernels.
 pub const IMPROVE_EPS: f64 = 1e-12;
 
 /// Default k-NN candidate-list width.
@@ -470,6 +469,8 @@ impl<M: Metric> Refiner<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use perpetuum_graph::tsp_exact::held_karp;
+    use perpetuum_graph::tsp_heur::nearest_neighbor;
     use perpetuum_graph::DistMatrix;
 
     fn square() -> Vec<Point2> {
@@ -493,6 +494,35 @@ mod tests {
         assert!(out.gain > 0.0);
         assert!((r.cost() - 4.0).abs() < 1e-9, "got {}", r.cost());
         assert!((before - out.gain - r.cost()).abs() < 1e-9);
+    }
+
+    fn random_points(n: usize, seed: u64) -> Vec<Point2> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..n)
+            .map(|_| Point2::new(rng.gen_range(0.0..1000.0), rng.gen_range(0.0..1000.0)))
+            .collect()
+    }
+
+    #[test]
+    fn tiny_tours_untouched() {
+        let dist = DistMatrix::from_points(&random_points(3, 0));
+        let mut r = Refiner::new(vec![vec![0, 1, 2]], &dist, RefineParams::default());
+        let out = r.run(&Budget::steps(10_000));
+        assert!(out.converged);
+        assert_eq!(out.accepted, 0);
+        assert_eq!(r.tour_nodes()[0], vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn refine_reaches_near_optimal_on_small_instances() {
+        for seed in 0..5 {
+            let dist = DistMatrix::from_points(&random_points(10, seed + 100));
+            let (_, opt) = held_karp(&dist);
+            let nn = nearest_neighbor(&dist, 0).into_nodes();
+            let mut r = Refiner::new(vec![nn], &dist, RefineParams::seeded(seed));
+            assert!(r.run(&Budget::steps(1_000_000)).converged);
+            assert!(r.cost() <= opt * 1.15 + 1e-9, "seed {seed}: {} vs opt {opt}", r.cost());
+        }
     }
 
     #[test]

@@ -256,7 +256,9 @@ fn encode_seed(w: &mut Writer, seed: &ControllerSeed) {
     let cfg = &seed.config;
     w.put_f64(cfg.horizon);
     w.put_f64(cfg.gamma);
-    w.put_u64(cfg.polish_rounds as u64);
+    // Reserved slot: older builds stored a tour-polish round count here.
+    // Always 0 now; kept so existing WALs and snapshots replay unchanged.
+    w.put_u64(0);
     w.put_f64(cfg.margin);
     w.put_f64(cfg.emergency_slack);
 }
@@ -282,7 +284,7 @@ fn decode_seed(r: &mut Reader<'_>) -> Result<ControllerSeed, WireError> {
     }
     let mut config = OnlineConfig::new(r.get_f64()?);
     config.gamma = r.get_f64()?;
-    config.polish_rounds = r.get_u64()? as usize;
+    r.get_u64()?; // reserved slot, see `encode_seed`
     config.margin = r.get_f64()?;
     config.emergency_slack = r.get_f64()?;
     Ok(ControllerSeed { sensors, depots, capacities, initial_rates, config })
@@ -1208,6 +1210,44 @@ mod tests {
             assert_eq!(log.records, vec![record]);
             assert_eq!(log.clean_bytes, bytes.len());
         }
+    }
+
+    #[test]
+    fn create_record_keeps_its_on_disk_layout() {
+        // A Create record built byte by byte in the established layout,
+        // reserved 8-byte slot (holding 0) between gamma and margin
+        // included. It must decode to the expected seed, and re-encoding
+        // must reproduce these exact bytes.
+        let mut config = OnlineConfig::new(100.0);
+        config.gamma = 0.5;
+        config.margin = 0.125;
+        config.emergency_slack = 2.0;
+        let expected = ControllerSeed { config, ..seed() };
+
+        let mut body = vec![TAG_CREATE];
+        body.extend_from_slice(&7u64.to_le_bytes());
+        body.extend_from_slice(&2u32.to_le_bytes());
+        for v in [10.0f64, 20.0, 40.0, 20.0] {
+            body.extend_from_slice(&v.to_le_bytes());
+        }
+        body.extend_from_slice(&1u32.to_le_bytes());
+        for v in [25.0f64, 60.0, 1.0, 1.0, 0.25, 0.125, 100.0, 0.5] {
+            body.extend_from_slice(&v.to_le_bytes());
+        }
+        body.extend_from_slice(&0u64.to_le_bytes()); // reserved slot
+        for v in [0.125f64, 2.0] {
+            body.extend_from_slice(&v.to_le_bytes());
+        }
+        let mut bytes = (body.len() as u32).to_le_bytes().to_vec();
+        bytes.extend_from_slice(&crc32(&body).to_le_bytes());
+        bytes.extend_from_slice(&body);
+
+        let record = Record::Create { id: 7, seed: expected };
+        let log = decode_log(&bytes);
+        assert!(!log.truncated);
+        assert_eq!(log.records, vec![record.clone()]);
+        assert_eq!(encode_record(&record), bytes);
+        assert_eq!(decode_log(&encode_record(&record)).records, vec![record]);
     }
 
     #[test]

@@ -78,7 +78,9 @@ fn main() {
     // Balance the fleet: how long is the busiest drone's tour when all
     // sensors need a simultaneous post-storm recharge?
     let all: Vec<usize> = (0..n).collect();
-    let qt = perpetuum::core::qtsp::q_rooted_tsp(network.dist(), &all, &network.depot_nodes(), 0);
+    let src = network.dist_source();
+    let qt =
+        perpetuum::core::qtsp::q_rooted_tsp(&src, &all, &network.depot_nodes(), Routing::Doubling);
     let alg2_span = qt.tours.iter().map(|t| t.length(network.dist())).fold(0.0f64, f64::max);
     let balanced = min_max_cover(&network, &all, Routing::Doubling, 200);
     println!(

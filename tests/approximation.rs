@@ -4,11 +4,11 @@
 use perpetuum::core::mtd::{plan_min_total_distance, MtdConfig};
 use perpetuum::core::network::{Instance, Network};
 use perpetuum::core::qmsf::q_rooted_msf;
-use perpetuum::core::qtsp::q_rooted_tsp;
+use perpetuum::core::qtsp::{q_rooted_tsp, Routing};
 use perpetuum::core::rounding::partition_cycles;
 use perpetuum::geom::Point2;
 use perpetuum::graph::tsp_exact::held_karp;
-use perpetuum::graph::DistMatrix;
+use perpetuum::graph::{DistMatrix, DistSource};
 use rand::{Rng, SeedableRng};
 
 fn random_points(n: usize, seed: u64) -> Vec<Point2> {
@@ -64,7 +64,8 @@ fn qtsp_within_factor_two_of_exact_optimum() {
         let terminals: Vec<usize> = (0..m).collect();
         let roots: Vec<usize> = (m..m + q).collect();
 
-        let approx = q_rooted_tsp(&dist, &terminals, &roots, 0).cost;
+        let approx =
+            q_rooted_tsp(&DistSource::dense(&dist), &terminals, &roots, Routing::Doubling).cost;
         let opt = exact_q_rooted_tsp(&dist, &terminals, &roots);
         assert!(approx <= 2.0 * opt + 1e-6, "seed {seed}: approx {approx} > 2x opt {opt}");
         assert!(approx >= opt - 1e-6, "seed {seed}: approx beat the optimum?!");
@@ -110,7 +111,7 @@ fn lemma3_style_lower_bound(inst: &Instance) -> f64 {
     let depots = inst.network().depot_nodes();
     // The 2-approximate tour is within 2x of the optimal full-cover cost,
     // so half of it is a valid lower bound on one window's cover.
-    let cover = q_rooted_tsp(inst.network().dist(), &all, &depots, 0).cost;
+    let cover = q_rooted_tsp(&inst.network().dist_source(), &all, &depots, Routing::Doubling).cost;
     windows * cover / 2.0
 }
 

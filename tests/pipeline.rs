@@ -5,7 +5,7 @@ use perpetuum::core::feasibility;
 use perpetuum::core::greedy::{plan_greedy_fixed, GreedyConfig};
 use perpetuum::core::mtd::{plan_min_total_distance, MtdConfig};
 use perpetuum::core::network::Instance;
-use perpetuum::core::qtsp::q_rooted_tsp;
+use perpetuum::core::qtsp::{q_rooted_tsp, Routing};
 use perpetuum::core::schedule::{ScheduleSeries, TourSet};
 use perpetuum::exp::scenario::{Algo, Scenario};
 
@@ -62,7 +62,12 @@ fn mtd_never_costs_more_than_charge_everyone_every_tau_min() {
         // of τ_min.
         let tau_min = topo.init_cycles.iter().cloned().fold(f64::INFINITY, f64::min);
         let all: Vec<usize> = (0..20).collect();
-        let qt = q_rooted_tsp(topo.network.dist(), &all, &topo.network.depot_nodes(), 0);
+        let qt = q_rooted_tsp(
+            &topo.network.dist_source(),
+            &all,
+            &topo.network.depot_nodes(),
+            Routing::Doubling,
+        );
         let mut naive = ScheduleSeries::new();
         let set = naive.add_set(TourSet::from_qtours(qt, |v| v >= 20));
         let mut t = tau_min;
