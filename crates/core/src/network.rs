@@ -3,6 +3,7 @@
 
 use perpetuum_geom::Point2;
 use perpetuum_graph::{DistMatrix, DistSource};
+use std::sync::{Arc, OnceLock};
 
 /// A sensor index, `0..n`.
 pub type SensorId = usize;
@@ -15,6 +16,10 @@ pub type SensorId = usize;
 /// deliberately *not* part of this type — the fixed-cycle planners take an
 /// [`Instance`], while the variable-cycle machinery re-estimates cycles
 /// continuously and passes them explicitly.
+///
+/// Cloning is cheap in the matrix: every clone of a dense network shares
+/// one lazily filled cell, so the `Θ((n+q)²)` matrix is built at most once,
+/// by whichever clone first asks for a distance, and never copied.
 #[derive(Debug, Clone)]
 pub struct Network {
     sensor_pos: Vec<Point2>,
@@ -22,28 +27,29 @@ pub struct Network {
     /// All node positions in id order (sensors then depots) — the backing
     /// store for the on-demand [`DistSource::Points`] representation.
     all_pos: Vec<Point2>,
-    /// Dense metric closure; `None` for sparse networks, where distances
-    /// are computed on demand from `all_pos`.
-    dist: Option<DistMatrix>,
+    /// Dense metric closure, filled from `all_pos` on first use; `None`
+    /// for sparse networks, where distances are computed on demand.
+    dist: Option<Arc<OnceLock<DistMatrix>>>,
 }
 
 impl Network {
-    /// Node count up to which [`Network::auto`] materializes the dense
-    /// matrix. At 4096 nodes the matrix is 128 MB of f64 — above that the
-    /// sparse representation wins on memory *and* build time.
+    /// Node count up to which [`Network::auto`] picks the dense matrix.
+    /// At 4096 nodes the matrix is 128 MB of f64 — above that the sparse
+    /// representation wins on memory *and* build time.
     pub const DENSE_NODE_THRESHOLD: usize = 4096;
 
-    /// Builds the metric complete graph over `sensors ∪ depots`, always
-    /// materializing the dense matrix (the representation every planner
-    /// accepted historically; use [`Network::sparse`] or [`Network::auto`]
-    /// to avoid the `Θ((n+q)²)` memory).
+    /// Builds the metric complete graph over `sensors ∪ depots` on the
+    /// dense matrix (the representation every planner accepted
+    /// historically; use [`Network::sparse`] or [`Network::auto`] to avoid
+    /// the `Θ((n+q)²)` memory). The matrix is filled on the first
+    /// [`Network::dist_source`] or [`Network::dist`] call, not here.
     ///
     /// # Panics
     /// Panics when there are no depots (the paper requires `q ≥ 1`) or any
     /// coordinate is non-finite.
     pub fn new(sensors: Vec<Point2>, depots: Vec<Point2>) -> Self {
         let mut net = Self::sparse(sensors, depots);
-        net.dist = Some(DistMatrix::from_points(&net.all_pos));
+        net.dist = Some(Arc::default());
         net
     }
 
@@ -61,7 +67,8 @@ impl Network {
     }
 
     /// Dense up to [`Network::DENSE_NODE_THRESHOLD`] nodes, sparse above —
-    /// the constructor experiment drivers should default to.
+    /// the default constructor for experiments. Like [`Network::new`], it
+    /// leaves a dense matrix unfilled until first use.
     pub fn auto(sensors: Vec<Point2>, depots: Vec<Point2>) -> Self {
         if sensors.len() + depots.len() <= Self::DENSE_NODE_THRESHOLD {
             Self::new(sensors, depots)
@@ -137,33 +144,48 @@ impl Network {
         &self.all_pos
     }
 
-    /// True when the dense matrix is materialized.
+    /// True when this network plans on the dense matrix, whether or not
+    /// its first use has filled it yet.
     #[inline]
     pub fn has_dense_matrix(&self) -> bool {
         self.dist.is_some()
     }
 
-    /// The distance source over all `n + q` nodes: the dense matrix when
-    /// materialized, on-demand point distances otherwise. Planners should
-    /// take this (via the `_src` entry points) rather than [`Network::dist`].
+    /// A copy of this network on the same positions without the dense
+    /// matrix: planning on it runs the sparse pipeline. Distances are the
+    /// same values either way; the copy neither builds nor keeps a matrix.
+    pub fn to_sparse(&self) -> Self {
+        Self { dist: None, ..self.clone() }
+    }
+
+    /// The distance source over all `n + q` nodes: the dense matrix on a
+    /// dense network (filled here on first use), on-demand point distances
+    /// otherwise. Planners should take this (via the `_src` entry points)
+    /// rather than [`Network::dist`].
     #[inline]
     pub fn dist_source(&self) -> DistSource<'_> {
-        match &self.dist {
+        match self.dense() {
             Some(d) => DistSource::Dense(d),
             None => DistSource::Points(&self.all_pos),
         }
     }
 
-    /// The dense distance matrix over all `n + q` nodes.
+    /// The dense distance matrix over all `n + q` nodes, filled on first
+    /// use and shared by every clone of this network.
     ///
     /// # Panics
     /// Panics on a sparse network — callers that can handle both
     /// representations should use [`Network::dist_source`].
     #[inline]
     pub fn dist(&self) -> &DistMatrix {
-        self.dist
-            .as_ref()
-            .expect("dense matrix not materialized (sparse network) — use dist_source()")
+        self.dense().expect("no dense matrix on a sparse network — use dist_source()")
+    }
+
+    /// The dense matrix, built from the positions if no clone has built
+    /// it yet; `None` on a sparse network.
+    fn dense(&self) -> Option<&DistMatrix> {
+        let cell = self.dist.as_deref()?;
+        Some(cell.get_or_init(|| DistMatrix::from_points(&self.all_pos)))
     }
 }
 
@@ -292,6 +314,74 @@ mod tests {
             (0..Network::DENSE_NODE_THRESHOLD).map(|i| Point2::new(i as f64, 0.0)).collect();
         let big = Network::auto(many, vec![Point2::new(0.0, 1.0)]);
         assert!(!big.has_dense_matrix());
+    }
+
+    /// True when the shared cell of a dense network has been filled.
+    fn filled(net: &Network) -> bool {
+        net.dist.as_ref().expect("dense network").get().is_some()
+    }
+
+    fn row_of_points(count: usize) -> Vec<Point2> {
+        (0..count).map(|i| Point2::new(i as f64 * 1.5, (i % 7) as f64)).collect()
+    }
+
+    #[test]
+    fn auto_fills_the_matrix_on_first_use() {
+        let net = Network::auto(row_of_points(40), vec![Point2::new(3.0, 9.0)]);
+        assert!(net.has_dense_matrix());
+        assert!(!filled(&net), "construction must not build the matrix");
+        let copy = net.clone();
+        assert!(!filled(&net) && !filled(&copy), "neither clone nor query builds it");
+        assert!(net.dist_source().is_dense());
+        assert!(filled(&net) && filled(&copy));
+    }
+
+    #[test]
+    fn clones_before_and_after_the_fill_share_one_matrix() {
+        let net = Network::new(row_of_points(30), vec![Point2::ORIGIN, Point2::new(9.0, 9.0)]);
+        let before = net.clone();
+        let built = before.dist();
+        let after = net.clone();
+        assert!(std::ptr::eq(built, net.dist()));
+        assert!(std::ptr::eq(built, after.dist()));
+        assert_eq!(*built, DistMatrix::from_points(net.points()));
+    }
+
+    #[test]
+    fn concurrent_first_use_builds_one_matrix() {
+        let net = Network::new(row_of_points(600), vec![Point2::new(-4.0, 2.5)]);
+        let start = std::sync::Barrier::new(4);
+        let seen: Vec<usize> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    let (mine, start) = (net.clone(), &start);
+                    s.spawn(move || {
+                        start.wait();
+                        mine.dist() as *const DistMatrix as usize
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("reader thread")).collect()
+        });
+        assert!(seen.iter().all(|&p| p == net.dist() as *const DistMatrix as usize));
+        let fresh = DistMatrix::from_points(net.points());
+        let m = net.dist();
+        assert_eq!(m.len(), fresh.len());
+        for i in 0..m.len() {
+            for j in 0..m.len() {
+                assert_eq!(m.get(i, j).to_bits(), fresh.get(i, j).to_bits(), "({i},{j})");
+            }
+        }
+    }
+
+    #[test]
+    fn sparse_copy_keeps_positions_and_drops_the_matrix() {
+        let net = tiny();
+        let _ = net.dist();
+        let copy = net.to_sparse();
+        assert!(!copy.has_dense_matrix());
+        assert_eq!(copy.points(), net.points());
+        assert_eq!((copy.n(), copy.q()), (net.n(), net.q()));
     }
 
     #[test]

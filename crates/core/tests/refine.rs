@@ -93,6 +93,29 @@ proptest! {
     }
 
     #[test]
+    fn dense_network_and_its_sparse_copy_refine_identically(
+        sensors in points(8..80),
+        depots in points(1..4),
+        seed in 0u64..1000,
+        budget in 0u64..40_000,
+    ) {
+        // The serve refine queue keeps only a points-only copy of each
+        // job's network; the refined plan must not notice.
+        let n = sensors.len();
+        let instance = Instance::new(Network::new(sensors, depots), vec![6.0; n], 24.0);
+        let plan = plan_min_total_distance(&instance, &MtdConfig::default());
+        let sparse = instance.network().to_sparse();
+
+        let (a, ra) = refine(instance.network(), &plan, &Budget::steps(budget), seed);
+        let (b, rb) = refine(&sparse, &plan, &Budget::steps(budget), seed);
+        let ja = serde_json::to_string(&a).expect("serialize refined plan");
+        let jb = serde_json::to_string(&b).expect("serialize refined plan");
+        prop_assert_eq!(ja, jb);
+        prop_assert_eq!(ra.refined_cost.to_bits(), rb.refined_cost.to_bits());
+        prop_assert_eq!((ra.steps, ra.accepted), (rb.steps, rb.accepted));
+    }
+
+    #[test]
     fn more_budget_never_costs_more(
         sensors in points(10..36),
         depots in points(2..4),

@@ -246,9 +246,10 @@ impl Scenario {
             deploy::DepotPlacement::OneAtBaseStation,
             &mut pos_rng,
         );
-        // `auto` keeps the dense matrix at paper scale and switches to the
-        // sparse pipeline above the node threshold — every consumer routes
-        // distances through `dist_source()` either way.
+        // `auto` plans on the dense matrix at paper scale (built on first
+        // use and shared by every clone of this network) and switches to
+        // the sparse pipeline above the node threshold — every consumer
+        // routes distances through `dist_source()` either way.
         let network = Network::auto(sensors, depots);
 
         let bs = field.center();
@@ -682,6 +683,26 @@ mod tests {
         assert!(matches!(parse_world("{", 0, 0), Err(ScenarioError::Json(_))));
         let bad = json.replace(r#""q": 3"#, r#""q": 0"#);
         assert_eq!(parse_world(&bad, 0, 0).unwrap_err(), ScenarioError::EmptyDepots);
+    }
+
+    #[test]
+    fn realised_world_shares_one_lazy_matrix() {
+        let json = r#"{
+            "field_size": 1000.0, "n": 40, "q": 3,
+            "tau_min": 1.0, "tau_max": 20.0,
+            "dist": { "Linear": { "sigma": 2.0 } },
+            "horizon": 60.0, "slot": 10.0,
+            "variable": false, "deployment": "Uniform"
+        }"#;
+        let tree = serde_json::parse_value(json).expect("valid JSON");
+        let pw = world_from_value(&tree, 9, 0).expect("valid scenario");
+        let inst = pw.instance();
+        assert!(pw.topology.network.has_dense_matrix());
+        // The instance's network fills the cell; the topology's and the
+        // world's clones read the very same matrix.
+        let m = inst.network().dist();
+        assert!(std::ptr::eq(m, pw.topology.network.dist()));
+        assert!(std::ptr::eq(m, pw.world.network.dist()));
     }
 
     #[test]

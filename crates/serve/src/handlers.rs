@@ -16,7 +16,7 @@ use crate::refine::{RefineJob, RefineQueue};
 use crate::session::SessionStore;
 use crate::wire;
 use perpetuum_core::mtd::{plan_min_total_distance, MtdConfig};
-use perpetuum_core::network::{Instance, Network};
+use perpetuum_core::network::Instance;
 use perpetuum_core::refine::{refine, Budget, RefineReport};
 use perpetuum_core::ScheduleSeries;
 use perpetuum_exp::scenario::{world_from_value, Algo, ScenarioError};
@@ -299,10 +299,8 @@ pub fn plan(state: &AppState, body: &[u8]) -> Response {
     };
     let instance = if sparse {
         // Force the sparse pipeline: planning runs off on-demand point
-        // distances, never materializing the Θ((n+q)²) matrix.
-        let points = parsed.topology.network.points();
-        let n = parsed.topology.network.n();
-        let network = Network::sparse(points[..n].to_vec(), points[n..].to_vec());
+        // distances, never building the Θ((n+q)²) matrix.
+        let network = parsed.topology.network.to_sparse();
         Instance::new(network, parsed.topology.init_cycles.clone(), parsed.scenario.horizon)
     } else {
         parsed.instance()
@@ -339,10 +337,12 @@ pub fn plan(state: &AppState, body: &[u8]) -> Response {
     if mode == RefineMode::Background {
         // Enqueue after the constructive entry is cached so the worker's
         // evicted-check races the right way; a full (or closed) queue
-        // just means this entry stays constructive.
+        // just means this entry stays constructive. The job keeps a
+        // points-only network, so a waiting job pins no dense matrix; the
+        // refiner gives the same plan on either.
         let queued = state.refine_queue.push(RefineJob {
             key,
-            instance,
+            network: instance.network().to_sparse(),
             schedule,
             steps: refine_steps,
             seed,

@@ -21,7 +21,7 @@
 
 use crate::handlers::{render_plan_result, AppState, PlanMeta};
 use crate::shutdown::ShutdownSignal;
-use perpetuum_core::network::Instance;
+use perpetuum_core::network::Network;
 use perpetuum_core::refine::{refine, Budget};
 use perpetuum_core::ScheduleSeries;
 use std::collections::VecDeque;
@@ -37,8 +37,10 @@ pub const QUEUE_CAPACITY: usize = 256;
 pub struct RefineJob {
     /// Canonical-hash cache key of the `/plan` entry to upgrade.
     pub key: u64,
-    /// The planning instance (already validated by the request path).
-    pub instance: Instance,
+    /// The planning network, points only (already validated by the
+    /// request path): refining on it gives the plan the dense matrix
+    /// would, without keeping the matrix alive while the job waits.
+    pub network: Network,
     /// The constructive schedule to improve.
     pub schedule: ScheduleSeries,
     /// Step budget for the pass.
@@ -131,7 +133,7 @@ impl RefineQueue {
 pub fn process(state: &AppState, job: RefineJob) -> bool {
     let started = Instant::now();
     let (refined, report) =
-        refine(job.instance.network(), &job.schedule, &Budget::steps(job.steps), job.seed);
+        refine(&job.network, &job.schedule, &Budget::steps(job.steps), job.seed);
     state.metrics.record_refine(
         report.constructive_cost,
         report.refined_cost,
@@ -181,7 +183,7 @@ mod tests {
     use super::*;
 
     fn dummy_job(key: u64) -> RefineJob {
-        use perpetuum_core::network::Network;
+        use perpetuum_core::network::Instance;
         use perpetuum_geom::Point2;
         let network = Network::new(
             vec![Point2::new(1.0, 0.0), Point2::new(2.0, 0.0)],
@@ -194,7 +196,7 @@ mod tests {
         );
         RefineJob {
             key,
-            instance,
+            network: instance.network().to_sparse(),
             schedule,
             steps: 100,
             seed: 1,
